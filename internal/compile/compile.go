@@ -336,7 +336,7 @@ func analyzeJoin(info *sem.Info, s *ast.AccumStmt) *JoinSpec {
 	if pred == nil {
 		return spec // pure cross join; still executable, no index help
 	}
-	conjuncts := splitAnd(pred)
+	conjuncts := SplitAnd(pred)
 	var residual []ast.Expr
 	ranges := make(map[int]*RangeDim)
 	for _, c := range conjuncts {
@@ -360,9 +360,10 @@ func analyzeJoin(info *sem.Info, s *ast.AccumStmt) *JoinSpec {
 	return spec
 }
 
-func splitAnd(e ast.Expr) []ast.Expr {
+// SplitAnd flattens a chain of && into its conjuncts, left to right.
+func SplitAnd(e ast.Expr) []ast.Expr {
 	if b, ok := e.(*ast.BinaryExpr); ok && b.Op == token.ANDAND {
-		return append(splitAnd(b.X), splitAnd(b.Y)...)
+		return append(SplitAnd(b.X), SplitAnd(b.Y)...)
 	}
 	return []ast.Expr{e}
 }
@@ -382,25 +383,29 @@ func compileConjunction(es []ast.Expr) expr.Fn {
 	}
 }
 
-// classifyConjunct routes one conjunct into spec (ranges or eqs). Returns
-// false if the conjunct must stay in the residual.
-func classifyConjunct(c ast.Expr, iterSlot int, iterCls *schema.Class, spec *JoinSpec, ranges map[int]*RangeDim) bool {
+// Bound is one comparison conjunct read as `attr Op Other`: the operand
+// naming the attribute is put on the left and the operator flipped to match.
+type Bound struct {
+	AttrIdx int
+	Op      token.Kind
+	Other   ast.Expr
+}
+
+// ReadBound reads conjunct c as a comparison between an attribute reference
+// (attrOf returns its state index, or -1 for anything else) and an
+// expression free of it (free), in either operand order. This is the one
+// conjunct rule behind both the accum-join range/equality split and the
+// views package's interest-box recognition.
+func ReadBound(c ast.Expr, attrOf func(ast.Expr) int, free func(ast.Expr) bool) (Bound, bool) {
 	b, ok := c.(*ast.BinaryExpr)
 	if !ok {
-		return false
+		return Bound{}, false
 	}
-	// Identify `iter.attr OP e` or `e OP iter.attr` with e iter-free.
-	attrIdx, other, flipped := -1, ast.Expr(nil), false
-	if ai := iterAttr(b.X, iterSlot); ai >= 0 && !refsSlot(b.Y, iterSlot) {
-		attrIdx, other = ai, b.Y
-	} else if ai := iterAttr(b.Y, iterSlot); ai >= 0 && !refsSlot(b.X, iterSlot) {
-		attrIdx, other, flipped = ai, b.X, true
-	} else {
-		return false
+	if ai := attrOf(b.X); ai >= 0 && free(b.Y) {
+		return Bound{AttrIdx: ai, Op: b.Op, Other: b.Y}, true
 	}
-	attr := iterCls.State[attrIdx]
-	op := b.Op
-	if flipped {
+	if ai := attrOf(b.Y); ai >= 0 && free(b.X) {
+		op := b.Op
 		switch op {
 		case token.LT:
 			op = token.GT
@@ -411,34 +416,60 @@ func classifyConjunct(c ast.Expr, iterSlot int, iterCls *schema.Class, spec *Joi
 		case token.GE:
 			op = token.LE
 		}
+		return Bound{AttrIdx: ai, Op: op, Other: b.X}, true
 	}
-	switch op {
-	case token.EQ:
-		if attr.Kind == value.KindSet {
-			return false
-		}
-		spec.Eqs = append(spec.Eqs, EqDim{AttrIdx: attrIdx, Key: expr.Compile(other)})
-		return true
-	case token.LE, token.GE:
-		if attr.Kind != value.KindNumber {
-			return false
-		}
-		rd := ranges[attrIdx]
-		if rd == nil {
-			rd = &RangeDim{AttrIdx: attrIdx, SelfOnly: true}
-			ranges[attrIdx] = rd
-		}
-		rd.SelfOnly = rd.SelfOnly && selfOnlyExpr(other)
-		if op == token.GE { // iter.attr >= e  → lower bound
-			rd.Lo = append(rd.Lo, expr.Compile(other))
-		} else {
-			rd.Hi = append(rd.Hi, expr.Compile(other))
-		}
-		return true
-	default:
-		// Strict < and > stay in the residual for exact float semantics.
+	return Bound{}, false
+}
+
+// Range reports whether the bound is a closed range bound on a numeric
+// attribute of cls, and whether it bounds from below (`attr >= Other`).
+// Strict < and > are not ranges: they stay residual for exact float
+// semantics.
+func (bd Bound) Range(cls *schema.Class) (lower, ok bool) {
+	if cls.State[bd.AttrIdx].Kind != value.KindNumber {
+		return false, false
+	}
+	switch bd.Op {
+	case token.GE:
+		return true, true
+	case token.LE:
+		return false, true
+	}
+	return false, false
+}
+
+// classifyConjunct routes one conjunct into spec (ranges or eqs). Returns
+// false if the conjunct must stay in the residual.
+func classifyConjunct(c ast.Expr, iterSlot int, iterCls *schema.Class, spec *JoinSpec, ranges map[int]*RangeDim) bool {
+	bd, ok := ReadBound(c,
+		func(e ast.Expr) int { return iterAttr(e, iterSlot) },
+		func(e ast.Expr) bool { return !refsSlot(e, iterSlot) })
+	if !ok {
 		return false
 	}
+	if bd.Op == token.EQ {
+		if iterCls.State[bd.AttrIdx].Kind == value.KindSet {
+			return false
+		}
+		spec.Eqs = append(spec.Eqs, EqDim{AttrIdx: bd.AttrIdx, Key: expr.Compile(bd.Other)})
+		return true
+	}
+	lower, ok := bd.Range(iterCls)
+	if !ok {
+		return false
+	}
+	rd := ranges[bd.AttrIdx]
+	if rd == nil {
+		rd = &RangeDim{AttrIdx: bd.AttrIdx, SelfOnly: true}
+		ranges[bd.AttrIdx] = rd
+	}
+	rd.SelfOnly = rd.SelfOnly && selfOnlyExpr(bd.Other)
+	if lower {
+		rd.Lo = append(rd.Lo, expr.Compile(bd.Other))
+	} else {
+		rd.Hi = append(rd.Hi, expr.Compile(bd.Other))
+	}
+	return true
 }
 
 // iterAttr returns the state-attribute index when e is `iterVar.attr`,

@@ -199,12 +199,14 @@ func (w *World) ClassTable(class string) *table.Table {
 // NoteViewStats folds subscription-view maintenance counters into the
 // world's execution statistics (no-op under DisableStats — the counters
 // observe view maintenance, they never drive it).
-func (w *World) NoteViewStats(subs, deltaRows, rescans, nanos int64) {
+func (w *World) NoteViewStats(subs, deltaRows, rescans, indexProbes, indexHits, nanos int64) {
 	if w.opts.DisableStats {
 		return
 	}
 	w.execStats.ViewSubs = subs
 	w.execStats.ViewDeltaRows += deltaRows
 	w.execStats.ViewRescans += rescans
+	w.execStats.ViewIndexProbes += indexProbes
+	w.execStats.ViewIndexHits += indexHits
 	w.execStats.ViewMaintNanos += nanos
 }

@@ -101,6 +101,13 @@ func ms(d time.Duration) string { return fmt.Sprintf("%.2f", float64(d.Microseco
 
 // tickTime measures mean wall time per tick.
 func tickTime(run func() error, ticks int) (time.Duration, error) {
+	return timedTicks(run, ticks, nil)
+}
+
+// timedTicks is tickTime with a hook: mark (when non-nil) runs after the
+// warm-up tick, immediately before the clock starts, so a caller can
+// snapshot counters and charge a counter delta to exactly the timed ticks.
+func timedTicks(run func() error, ticks int, mark func()) (time.Duration, error) {
 	// One warmup tick amortizes lazy setup (kernel compilation, scratch and
 	// effect-lane growth) out of the measurement, and a forced collection
 	// keeps the previous arm's garbage off this arm's clock.
@@ -108,6 +115,9 @@ func tickTime(run func() error, ticks int) (time.Duration, error) {
 		return 0, err
 	}
 	runtime.GC()
+	if mark != nil {
+		mark()
+	}
 	start := time.Now()
 	for i := 0; i < ticks; i++ {
 		if err := run(); err != nil {

@@ -243,10 +243,17 @@ type ExecCounters struct {
 	// full-extent rescan (unstable predicate, structure-version mismatch, or
 	// the cost model deciding churn outweighed the delta path);
 	// ViewMaintNanos is wall time spent maintaining all subscriptions.
-	ViewSubs       int64
-	ViewDeltaRows  int64
-	ViewRescans    int64
-	ViewMaintNanos int64
+	// ViewIndexProbes counts interest-box queries the indexed delta arm ran
+	// against a tick's candidate point index, and ViewIndexHits the
+	// candidate rows they returned: together they replace the
+	// (subscriptions × candidates) kernel tests the box crowd would
+	// otherwise cost.
+	ViewSubs        int64
+	ViewDeltaRows   int64
+	ViewRescans     int64
+	ViewMaintNanos  int64
+	ViewIndexProbes int64
+	ViewIndexHits   int64
 
 	// Load balance: per tick the effect-phase row visits (scalar rows,
 	// vectorized rows, join candidates) are tallied per partition;

@@ -16,8 +16,10 @@ import (
 // allocations per Apply — the property that lets one registry serve many
 // thousands of spectators without the GC joining the tick loop. The mix
 // covers every kind plus a spread of Select thresholds that canonicalize to
-// one shared kernel, and the churn driver dirties rows through SetState so
-// the measurement isolates view maintenance from engine tick costs.
+// one shared kernel, interest boxes on the indexed delta arm, and the churn
+// driver dirties rows through SetState — moving some across boxes and index
+// cells every round — so the measurement isolates view maintenance from
+// engine tick costs.
 func TestApplySteadyStateZeroAlloc(t *testing.T) {
 	w := unitWorld(t, 256, engine.Options{})
 	ids := w.IDs("Unit")
@@ -28,6 +30,14 @@ func TestApplySteadyStateZeroAlloc(t *testing.T) {
 			Pred:    fmt.Sprintf("health < %d", 55+i),
 			Payload: []string{"health"},
 		})
+	}
+	for i := 0; i < 24; i++ {
+		pred, err := views.InterestPred([]string{"x", "y"},
+			[]float64{float64(15 + (i*37)%90), float64(15 + (i*53)%90)}, 15)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustSub(t, r, views.Def{Class: "Unit", Pred: pred, Payload: []string{"x", "y"}})
 	}
 	mustSub(t, r, views.Def{Class: "Unit", Pred: "health < 75", Kind: views.Count})
 	mustSub(t, r, views.Def{Class: "Unit", Pred: "true", Kind: views.Sum, Attr: "health"})
@@ -48,6 +58,17 @@ func TestApplySteadyStateZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		for i := 0; i < 8; i++ {
+			ph := step % 50
+			id := ids[(ph*3+i*47)%len(ids)]
+			x, y := float64((ph*11+i*29)%120), float64((ph*17+i*7)%120)
+			if err := w.SetState("Unit", id, "x", value.Num(x)); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.SetState("Unit", id, "y", value.Num(y)); err != nil {
+				t.Fatal(err)
+			}
+		}
 		r.Apply(sink)
 	}
 	// Warm: the first Apply resyncs every subscription from a full rescan,
@@ -63,5 +84,8 @@ func TestApplySteadyStateZeroAlloc(t *testing.T) {
 	}
 	if sunk == 0 {
 		t.Fatal("churn driver produced no deltas; the measurement is vacuous")
+	}
+	if w.ExecStats().ViewIndexHits == 0 {
+		t.Fatal("no box probe found a candidate; the indexed arm went unmeasured")
 	}
 }

@@ -14,7 +14,8 @@ package views
 //     can observe moved, skip without evaluating anything;
 //  2. delta maintain: run the mask kernel over the gathered candidate
 //     lanes (the feed's rows), adjust membership by binary search against
-//     the sorted member set;
+//     the sorted member set — or, for an interest box, probe the class's
+//     candidate point index once instead (box.go);
 //  3. rescan: run the kernel over the whole extent and diff memberships —
 //     chosen by plan.Costs.ChooseView when candidates approach the live
 //     count, forced by unstable predicates, resyncs and fresh
@@ -43,10 +44,15 @@ func (r *Registry) Apply(fn func(*Delta)) {
 	}
 	start := time.Now()
 	r.deltaRows, r.rescans, r.deltaBytes = 0, 0, 0
+	r.indexProbes, r.indexHits = 0, 0
 	for _, cs := range r.classList {
 		cs.drained = false
 		cs.lanesBuilt = false
 		cs.idsBuilt = false
+		cs.candByIDBuilt = false
+		for _, bi := range cs.boxIdx {
+			bi.built = false
+		}
 		cs.rows = cs.rows[:0]
 		cs.killed = cs.killed[:0]
 		cs.resync = false
@@ -67,7 +73,7 @@ func (r *Registry) Apply(fn func(*Delta)) {
 		}
 	}
 	r.eng.NoteViewStats(int64(len(r.subs)), r.deltaRows, r.rescans,
-		time.Since(start).Nanoseconds())
+		r.indexProbes, r.indexHits, time.Since(start).Nanoseconds())
 }
 
 // DeltaBytes reports the total Delta.Bytes emitted by the last Apply.
@@ -106,9 +112,12 @@ func (r *Registry) maintain(s *Sub) bool {
 		}
 		mode = r.costs.ChooseView(s.def.Mode, cs.tab.Len(), len(cs.rows), kernels)
 	}
-	if mode == plan.ViewDelta {
+	switch {
+	case mode == plan.ViewDelta && s.box != nil:
+		r.applyDeltaBox(s, cs)
+	case mode == plan.ViewDelta:
 		r.applyDelta(s, cs)
-	} else {
+	default:
 		r.applyRescan(s, cs, resync)
 		r.rescans++
 	}
@@ -253,6 +262,14 @@ func (r *Registry) applyDelta(s *Sub, cs *classState) {
 			d.RemIDs = append(d.RemIDs, id)
 		}
 	}
+	r.finishDelta(s, cs)
+}
+
+// finishDelta completes either delta arm once the candidates are
+// classified: kills leave, every list goes to id order, and membership
+// merges and emits.
+func (r *Registry) finishDelta(s *Sub, cs *classState) {
+	d := &s.d
 	for _, id := range cs.killed {
 		if _, in := slices.BinarySearch(s.members, id); in {
 			d.RemIDs = append(d.RemIDs, id)
@@ -580,17 +597,19 @@ func sortPairs(p []idRow) {
 }
 
 func pairsContain(pairs []idRow, id value.ID) bool {
-	_, ok := slices.BinarySearchFunc(pairs, id, func(p idRow, id value.ID) int {
-		switch {
-		case p.id < id:
-			return -1
-		case p.id > id:
-			return 1
-		default:
-			return 0
-		}
-	})
+	_, ok := slices.BinarySearchFunc(pairs, id, cmpPairID)
 	return ok
+}
+
+func cmpPairID(p idRow, id value.ID) int {
+	switch {
+	case p.id < id:
+		return -1
+	case p.id > id:
+		return 1
+	default:
+		return 0
+	}
 }
 
 // sortTop orders a ranking by key descending, id ascending — the total

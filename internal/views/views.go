@@ -23,7 +23,9 @@
 //   - spatial interest subscriptions build rectangular predicates whose
 //     reach plan.InteractionRadius bounds — the same box the partitioned
 //     executor ghosts, which is why the changefeed (and thus every view)
-//     is identical under Workers > 1 and Partitions > 1.
+//     is identical under Workers > 1 and Partitions > 1. On the delta path
+//     a crowd of such boxes is joined with the changed rows through one
+//     candidate point index instead of one kernel run per box (box.go).
 //
 // Everything the registry retains — membership sets, delta buffers,
 // candidate lanes, constant lanes — is reused across ticks; steady-state
@@ -173,6 +175,7 @@ type Sub struct {
 	pp       *predProg // shared kernel; nil → scalar closure path
 	scalarFn expr.Fn   // scalar fallback / unstable-predicate evaluator
 	reads    []int     // predicate state reads
+	box      *box      // recognised interest box; nil → kernel delta arm
 	payload  []int     // payload attr indices (Select)
 	aggAttr  int       // Sum/TopK attr index; -1 otherwise
 	stable   bool
@@ -258,6 +261,13 @@ type classState struct {
 	idsBuilt   bool
 
 	fullIDLane []float64 // whole-extent id lane for rescanning kernels
+
+	// The indexed delta arm's state (box.go): one candidate point index
+	// per attribute pair some box subscription bounds, and the candidates
+	// sorted by id for removal lookups.
+	boxIdx        []*boxIndex
+	candByID      []idRow // (id, candidate position)
+	candByIDBuilt bool
 }
 
 // Registry maintains every subscription of one engine world. Not
@@ -287,13 +297,16 @@ type Registry struct {
 	updPairs  []idRow
 	fullPairs []idRow
 	topCand   []TopEntry
+	hits      []int32
 
 	drainFn func(engine.ClassDelta)
 
 	// Per-Apply counters.
-	deltaRows  int64
-	rescans    int64
-	deltaBytes int64
+	deltaRows   int64
+	rescans     int64
+	deltaBytes  int64
+	indexProbes int64
+	indexHits   int64
 }
 
 type idRow struct {
@@ -341,6 +354,9 @@ func (r *Registry) Subscribe(def Def) (*Sub, error) {
 	}
 	s := &Sub{def: def, aggAttr: -1}
 	s.compilePred(def.Class, e)
+	if s.stable {
+		s.box = recogniseBox(cp.Class, s.pred, s.consts)
+	}
 
 	switch def.Kind {
 	case Select:
@@ -413,6 +429,9 @@ func (r *Registry) Subscribe(def Def) (*Sub, error) {
 	r.byID[s.id] = s
 	cs.subs = append(cs.subs, s)
 	cs.recomputeGatherCols()
+	if s.box != nil {
+		cs.attachBox(s.box)
+	}
 	return s, nil
 }
 
@@ -426,6 +445,9 @@ func (r *Registry) Unsubscribe(id SubID) bool {
 	r.subs = removeSub(r.subs, s)
 	s.cs.subs = removeSub(s.cs.subs, s)
 	s.cs.recomputeGatherCols()
+	if s.box != nil {
+		s.box.idx.cell = 0
+	}
 	return true
 }
 
