@@ -118,9 +118,9 @@ func (w *World) releaseArena() {
 	w.arena = nil
 }
 
-// arenaMachine is the serial-path kernel machine. Valid only between
-// acquireArena and releaseArena (all of RunTick, plus Restore's handler
-// replay).
+// arenaMachine is the kernel machine inline morsels run on. Valid only
+// between acquireArena and releaseArena (all of RunTick, plus Restore's
+// handler replay).
 func (w *World) arenaMachine() *vexpr.Machine { return w.arena.machine }
 
 // attachBuilders points every site partition at its arena builder. Also

@@ -5,16 +5,17 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/plan"
 	"repro/internal/workload"
 )
 
-func pooledVehicleWorld(t *testing.T, n int, pool *engine.ArenaPool) *engine.World {
+func pooledVehicleWorld(t *testing.T, n int, pool *engine.ArenaPool, exec plan.ExecMode) *engine.World {
 	t.Helper()
 	sc, err := core.LoadScenario("vehicles", core.SrcVehicles)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := sc.NewWorld(engine.Options{Workers: 1})
+	w, err := sc.NewWorld(engine.Options{Workers: 1, Exec: exec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,22 +30,25 @@ func pooledVehicleWorld(t *testing.T, n int, pool *engine.ArenaPool) *engine.Wor
 // warmed world ticking through a shared arena pool must not allocate at
 // all in steady state — kernel machines, index builders, execution
 // contexts and accumulator slabs are all checked out or pooled, never
-// remade per tick.
+// remade per tick. ExecScalar pins the scalar row path: binding a row must
+// not box a reader, and staged rule results must reuse their maps.
 func TestSteadyStateTickAllocsZero(t *testing.T) {
-	pool := &engine.ArenaPool{}
-	w := pooledVehicleWorld(t, 500, pool)
-	for i := 0; i < 5; i++ {
-		if err := w.RunTick(); err != nil {
-			t.Fatal(err)
+	for _, exec := range []plan.ExecMode{plan.ExecAuto, plan.ExecScalar} {
+		pool := &engine.ArenaPool{}
+		w := pooledVehicleWorld(t, 500, pool, exec)
+		for i := 0; i < 5; i++ {
+			if err := w.RunTick(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	avg := testing.AllocsPerRun(20, func() {
-		if err := w.RunTick(); err != nil {
-			t.Fatal(err)
+		avg := testing.AllocsPerRun(20, func() {
+			if err := w.RunTick(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg != 0 {
+			t.Fatalf("Exec %v: steady-state RunTick allocates %.1f objects/tick, want 0", exec, avg)
 		}
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state RunTick allocates %.1f objects/tick, want 0", avg)
 	}
 }
 
@@ -54,8 +58,8 @@ func TestSteadyStateTickAllocsZero(t *testing.T) {
 // that own private arenas.
 func TestArenaPoolSharedAcrossWorlds(t *testing.T) {
 	pool := &engine.ArenaPool{}
-	a := pooledVehicleWorld(t, 120, pool)
-	b := pooledVehicleWorld(t, 120, pool)
+	a := pooledVehicleWorld(t, 120, pool, plan.ExecAuto)
+	b := pooledVehicleWorld(t, 120, pool, plan.ExecAuto)
 	ref := func() *engine.World {
 		sc, err := core.LoadScenario("vehicles", core.SrcVehicles)
 		if err != nil {

@@ -97,7 +97,7 @@ func (u *UpdateCtx) Stage(class string, id value.ID, attr string, v value.Value)
 
 // stageRule is the internal unchecked staging used by the expression-rule
 // evaluator for attributes that have rules (never owned ones).
-func (u *UpdateCtx) stageRule(rt *classRT, attrIdx int, id value.ID, v value.Value) {
+func (rt *classRT) stageRule(attrIdx int, id value.ID, v value.Value) {
 	if rt.staged == nil {
 		rt.staged = make(map[int]map[value.ID]value.Value)
 	}

@@ -125,9 +125,8 @@ type World struct {
 	arena     *Arena
 	arenaPool *ArenaPool
 
-	// xctx/uctx are the pooled serial execution and update contexts,
-	// re-armed per class pass so steady-state ticks allocate nothing.
-	xctx *execCtx
+	// uctx is the pooled update context, re-armed per component so
+	// steady-state ticks allocate nothing.
 	uctx *UpdateCtx
 
 	// ai is the program's unified static analysis (internal/analysis):
@@ -163,18 +162,25 @@ type World struct {
 	txnSites map[*compile.AtomicStep]*txnSite
 	txnrt    txnRuntime
 
-	tracer      TraceFn
-	inspectors  []Inspector
-	workerSinks []*workerSink
-	shardCtxs   []*shardCtx // per-worker machines, counters, staging
-	shardBuf    []shard     // scratch shard partition, reused per pass
+	tracer     TraceFn
+	inspectors []Inspector
+
+	// Morsel-driver state (morsel.go), all reused across passes and ticks:
+	// the pass in flight, its morsel list, one sink per morsel, the merge
+	// cursors, the inline and pool worker slots, and passGen, which
+	// identifies the current effect pass so each pool worker prepares its
+	// private kernel scratch exactly once per pass.
+	pass      morselPass
+	morselBuf []morsel
+	sinks     []*morselSink
+	mergeIdx  []int
+	inline    *workerSlot
+	slots     []*workerSlot
+	passGen   uint64
 
 	// parts is the shared-nothing partitioned-execution state (nil unless
-	// Options.Partitions > 0); see partition.go. partPrepGen identifies the
-	// current partitioned class pass, so each worker prepares its private
-	// kernel scratch exactly once per pass.
-	parts       *partWorld
-	partPrepGen uint64
+	// Options.Partitions > 0); see partition.go.
+	parts *partWorld
 
 	// dict is the world-wide string dictionary: one shared interning space,
 	// so codes are comparable across columns, tables and compiled literals.
@@ -244,6 +250,10 @@ type classRT struct {
 	countsBuf   []int
 	vecSelBuf   []bool
 
+	// effectZero reads the zero of an effect that received no
+	// contributions; bound once so update-rule passes allocate nothing.
+	effectZero func(attrIdx int) value.Value
+
 	fx []fxColumn
 
 	// prt is the class's shared-nothing partitioning state (nil until the
@@ -302,8 +312,8 @@ func (f *fxColumn) add(row int, v value.Value, key float64) {
 	f.acc[row].Add(v, key)
 }
 
-// addLogged is add for sharded writers: the empty→touched transition is
-// recorded in the caller's private log (merged in shard order after the
+// addLogged is add for staged morsels: the empty→touched transition is
+// recorded in the caller's private log (merged in morsel order after the
 // barrier) instead of the shared touched list.
 func (f *fxColumn) addLogged(row int, v value.Value, key float64, log *[]int) {
 	if f.acc[row].N() == 0 {
@@ -375,6 +385,7 @@ func NewFromCompiled(c *Compiled, opts Options) (*World, error) {
 			phaseCost:   cc.phaseCost,
 			handlerCost: cc.handlerCost,
 		}
+		rt.effectZero = effectZeroFn(rt)
 		for _, e := range cc.cls.Effects {
 			rt.fx = append(rt.fx, fxColumn{comb: e.Comb, kind: e.Kind})
 		}

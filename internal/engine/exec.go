@@ -15,10 +15,10 @@ import (
 	"repro/internal/vexpr"
 )
 
-// emitSink receives effect emissions and transaction intents. The serial
-// executor writes straight into the world's effect buffers; parallel
-// workers write into private buffers merged afterwards (§4.2: effect
-// computation needs no synchronization).
+// emitSink receives effect emissions and transaction intents. A pass's lone
+// unpartitioned morsel writes straight into the world's effect buffers;
+// every other morsel stages into its own morselSink, merged in row order
+// afterwards (§4.2: effect computation needs no synchronization).
 type emitSink interface {
 	emit(w *World, e Emission)
 	addTxn(t *Txn)
@@ -48,6 +48,12 @@ type execCtx struct {
 	rt  *classRT
 	row int
 	id  value.ID
+
+	// self and fxr are the row and effect readers ctx.Self and ctx.Effects
+	// point at; binding a row rewrites them in place, so no row boxes an
+	// interface value.
+	self rowReader
+	fxr  fxReader
 
 	// part is the shared-nothing partition this context executes for
 	// (always 0 outside partitioned mode); accum probes resolve their
@@ -88,39 +94,13 @@ type execCtx struct {
 	dictLookups int64
 }
 
-// newExecCtx builds a fresh context for concurrent executors (shard and
-// partition workers). m is the kernel machine the context's batched joins
-// run on; nil allocates a private one. The serial paths use the pooled
-// World.serialExecCtx instead.
-func newExecCtx(w *World, sink emitSink, slots int, m *vexpr.Machine) *execCtx {
-	if m == nil {
-		m = new(vexpr.Machine)
-	}
-	x := &execCtx{
-		w:       w,
-		frame:   make([]value.Value, slots),
-		accum:   make([]*combinator.Accumulator, slots),
-		accSlab: make([]combinator.Accumulator, slots),
-		sink:    sink,
-		machine: m,
-	}
-	x.ctx.W = w
-	x.ctx.Frame = x.frame
-	return x
-}
-
-// serialExecCtx re-arms the world's pooled serial context, resetting every
-// piece of per-pass state a fresh newExecCtx would zero — frame contents
+// arm re-arms a pooled context for one morsel, resetting every piece of
+// per-morsel state a fresh context would start with — frame contents
 // (runAtomic copies the whole frame into Txn.Frame), accumulator bindings,
-// row bindings, probe sequencing — so pooling is invisible to execution.
-// Valid only while the tick's arena is held.
-func (w *World) serialExecCtx(sink emitSink, slots int) *execCtx {
-	x := w.xctx
-	if x == nil {
-		x = &execCtx{w: w}
-		x.ctx.W = w
-		w.xctx = x
-	}
+// row bindings, update-rule readers, probe sequencing — so pooling is
+// invisible to execution. An unpartitioned morsel (part < 0) arms
+// partition 0, which only partitioned worlds consult.
+func (x *execCtx) arm(w *World, sink emitSink, slots int, m *vexpr.Machine, part int32) *execCtx {
 	if cap(x.accSlab) < slots {
 		x.frame = make([]value.Value, slots)
 		x.accum = make([]*combinator.Accumulator, slots)
@@ -133,12 +113,11 @@ func (w *World) serialExecCtx(sink emitSink, slots int) *execCtx {
 		x.frame[i] = value.Value{}
 		x.accum[i] = nil
 	}
-	x.ctx.Frame = x.frame
-	x.sink = sink
-	x.machine = w.arenaMachine()
+	x.w, x.sink, x.machine = w, sink, m
 	x.rt, x.row, x.id = nil, 0, 0
-	x.ctx.Class, x.ctx.SelfID, x.ctx.Self = "", 0, nil
-	x.part, x.curTxn, x.probeSeq = 0, nil, 0
+	x.self, x.fxr = rowReader{}, fxReader{}
+	x.ctx = expr.Ctx{W: w, Self: &x.self, Frame: x.frame}
+	x.part, x.curTxn, x.probeSeq = max(part, 0), nil, 0
 	return x
 }
 
@@ -157,7 +136,7 @@ func (x *execCtx) bindRow(rt *classRT, row int) {
 	x.rt, x.row, x.id = rt, row, rt.tab.ID(row)
 	x.ctx.Class = rt.name
 	x.ctx.SelfID = x.id
-	x.ctx.Self = rowReader{rt: rt, row: row}
+	x.self = rowReader{rt: rt, row: row}
 }
 
 // sitePart resolves the site index this context probes: the partition-local
@@ -580,7 +559,6 @@ func (w *World) prepareSites() {
 // via a shared worklist. Kept out of prepareSites so its escaping closures
 // never cost the serial path an allocation.
 func (w *World) buildSitesParallel(rebuild []*siteRT) {
-	w.ensureWorkers()
 	w.runPool(len(rebuild), w.opts.Workers, func(_, j int) {
 		site := rebuild[j]
 		w.buildSiteIndex(site, &site.parts[0], w.classes[site.step.SourceClass], nil, false)
@@ -749,39 +727,32 @@ func (w *World) buildSiteIndex(site *siteRT, pp *sitePart, srcRT *classRT, membe
 // identical to the serial fill.
 func (w *World) fillEntries(srcRT *classRT, dims []int, entries []index.Entry, coords []float64, allowShard bool) {
 	tab := srcRT.tab
-	nw := 1
-	if allowShard && w.parallelOK() {
-		work := w.execCosts.IndexBuildRow * float64(tab.Len()) * float64(len(dims))
-		nw = w.execCosts.ChooseWorkers(w.opts.Workers, work)
-	}
-	if nw <= 1 {
+	if !allowShard {
 		fillEntryRange(tab, dims, entries, coords, 0, tab.Cap(), 0)
 		return
 	}
-	w.ensureWorkers()
-	shards := shardRows(tab.Cap(), nw, w.shardBuf)
-	w.shardBuf = shards
-	if len(shards) <= 1 {
+	ms := w.shardMorsels(tab.Cap(), w.execCosts.IndexBuildRow*float64(tab.Len())*float64(len(dims)))
+	if len(ms) <= 1 {
 		fillEntryRange(tab, dims, entries, coords, 0, tab.Cap(), 0)
 		return
 	}
 	alive := tab.AliveMask()
-	if cap(w.buildOffs) < len(shards)+1 {
-		w.buildOffs = make([]int, len(shards)+1)
+	if cap(w.buildOffs) < len(ms)+1 {
+		w.buildOffs = make([]int, len(ms)+1)
 	}
-	offs := w.buildOffs[:len(shards)+1]
+	offs := w.buildOffs[:len(ms)+1]
 	offs[0] = 0
-	for si, sh := range shards {
+	for i, mo := range ms {
 		c := 0
-		for r := sh.lo; r < sh.hi; r++ {
+		for r := mo.lo; r < mo.hi; r++ {
 			if alive[r] {
 				c++
 			}
 		}
-		offs[si+1] = offs[si] + c
+		offs[i+1] = offs[i] + c
 	}
-	w.runShards(shards, func(si int, sh shard) {
-		fillEntryRange(tab, dims, entries, coords, sh.lo, sh.hi, offs[si])
+	w.runPool(len(ms), len(ms), func(_, i int) {
+		fillEntryRange(tab, dims, entries, coords, ms[i].lo, ms[i].hi, offs[i])
 	})
 }
 

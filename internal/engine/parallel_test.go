@@ -158,20 +158,86 @@ func diffClassWorlds(a, b *engine.World, class string, attrs []string, ids []val
 	return ""
 }
 
-// TestParallelMatrixDifferential is the acceptance guard for the sharded
-// executor: Workers ∈ {1, 4} × Exec ∈ {scalar, vectorized, auto} over the
+// srcInexactFold makes every row emit an inexact float into one shared sum
+// target: each object picks the max-x hub and adds x*0.1 + 1/(x+3) to the
+// hub's tally. Float addition is not associative, so the hub's total is
+// bit-identical across configurations only if every configuration folds
+// the contributions in the serial row order.
+const srcInexactFold = `
+class Obj {
+  state:
+    number x = 0;
+    number hub = 0;
+    number total = 0;
+  effects:
+    number t : sum;
+  update:
+    total = total + t;
+  run {
+    accum ref<Obj> h with maxby over Obj u from Obj {
+      if (u.hub == 1) {
+        h <- u by u.x;
+      }
+    } in {
+      if (h != null) {
+        h.t <- x * 0.1 + 1 / (x + 3);
+      }
+    }
+  }
+}
+`
+
+func spawnInexactObj(w *engine.World, i int) (value.ID, error) {
+	hub := 0.0
+	if i%97 == 0 {
+		hub = 1
+	}
+	return w.Spawn("Obj", map[string]value.Value{
+		"x": value.Num(float64(i%2999) * 1.37), "hub": value.Num(hub),
+	})
+}
+
+func inexactFoldWorld(t *testing.T, n int, opts engine.Options) *engine.World {
+	t.Helper()
+	sc, err := core.LoadScenario("inexact", srcInexactFold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := sc.NewWorld(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if _, err := spawnInexactObj(w, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return w
+}
+
+// TestParallelMatrixDifferential is the acceptance guard for the morsel
+// driver: Workers ∈ {1, 4} × Exec ∈ {scalar, vectorized, auto} over the
 // traffic and rts scenarios with spawn/kill churn must end bit-identical to
 // the Workers=1/ExecScalar reference. It extends the scalar≡vectorized
-// guards in vector_test.go with the parallelism axis.
+// guards in vector_test.go with the parallelism axis. The inexact-fold
+// scenario runs Workers ∈ {1, 2, 4} × Partitions ∈ {0, 2} instead: its
+// shared float sum only matches when every configuration merges
+// contributions in row order.
 func TestParallelMatrixDifferential(t *testing.T) {
 	type cfg struct {
 		workers int
 		exec    plan.ExecMode
+		parts   int
 	}
-	var cfgs []cfg
+	var cfgs, foldCfgs []cfg
 	for _, wk := range []int{1, 4} {
 		for _, ex := range []plan.ExecMode{plan.ExecScalar, plan.ExecVectorized, plan.ExecAuto} {
-			cfgs = append(cfgs, cfg{wk, ex})
+			cfgs = append(cfgs, cfg{wk, ex, 0})
+		}
+	}
+	for _, parts := range []int{0, 2} {
+		for _, wk := range []int{1, 2, 4} {
+			foldCfgs = append(foldCfgs, cfg{wk, plan.ExecAuto, parts})
 		}
 	}
 	scenarios := []struct {
@@ -180,11 +246,12 @@ func TestParallelMatrixDifferential(t *testing.T) {
 		attrs []string
 		n     int
 		ticks int
+		cfgs  []cfg
 		build func(t *testing.T, n int, opts engine.Options) *engine.World
 		spawn func(w *engine.World, i int) (value.ID, error)
 	}{
 		{
-			name: "traffic", class: "Vehicle", attrs: vehicleAttrs, n: 2500, ticks: 5,
+			name: "traffic", class: "Vehicle", attrs: vehicleAttrs, n: 2500, ticks: 5, cfgs: cfgs,
 			build: trafficWorld,
 			spawn: func(w *engine.World, i int) (value.ID, error) {
 				return w.Spawn("Vehicle", map[string]value.Value{
@@ -195,7 +262,7 @@ func TestParallelMatrixDifferential(t *testing.T) {
 			},
 		},
 		{
-			name: "rts", class: "Soldier", attrs: soldierAttrs, n: 900, ticks: 4,
+			name: "rts", class: "Soldier", attrs: soldierAttrs, n: 900, ticks: 4, cfgs: cfgs,
 			build: rtsWorldFor,
 			spawn: func(w *engine.World, i int) (value.ID, error) {
 				return w.Spawn("Soldier", map[string]value.Value{
@@ -205,14 +272,20 @@ func TestParallelMatrixDifferential(t *testing.T) {
 				})
 			},
 		},
+		{
+			name: "inexact-fold", class: "Obj", attrs: []string{"x", "hub", "total"}, n: 3000, ticks: 3, cfgs: foldCfgs,
+			build: inexactFoldWorld,
+			spawn: func(w *engine.World, i int) (value.ID, error) { return spawnInexactObj(w, 3000+i) },
+		},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
+			cfgs := sc.cfgs
 			worlds := make([]*engine.World, len(cfgs))
 			for i, c := range cfgs {
-				worlds[i] = sc.build(t, sc.n, engine.Options{Workers: c.workers, Exec: c.exec})
+				worlds[i] = sc.build(t, sc.n, engine.Options{Workers: c.workers, Exec: c.exec, Partitions: c.parts})
 			}
-			ref := worlds[0] // Workers=1, ExecScalar
+			ref := worlds[0] // Workers=1, unpartitioned
 			live := append([]value.ID(nil), ref.IDs(sc.class)...)
 			rng := rand.New(rand.NewSource(11))
 			for tick := 0; tick < sc.ticks; tick++ {
@@ -249,7 +322,7 @@ func TestParallelMatrixDifferential(t *testing.T) {
 			}
 			for wi := 1; wi < len(worlds); wi++ {
 				if d := diffClassWorlds(ref, worlds[wi], sc.class, sc.attrs, live); d != "" {
-					t.Fatalf("cfg %+v diverged from Workers=1/ExecScalar: %s", cfgs[wi], d)
+					t.Fatalf("cfg %+v diverged from %+v: %s", cfgs[wi], cfgs[0], d)
 				}
 			}
 		})

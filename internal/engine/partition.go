@@ -32,13 +32,14 @@ package engine
 //     ghost across a rebalance. Per-partition grids are patched in place by
 //     the member-view-aware index.Grid.SyncRows when churn is small.
 //
-//   - partition_exec.go: partition-parallel execution. Partitions fan out
-//     across the worker pool for vectorized phases (per-worker vexpr
-//     scratch; self-only emissions are row-disjoint across partitions),
-//     scalar rows and handlers; per-partition sinks merge in (partition,
-//     row) order — exactly ascending physical-row order — which is what
-//     makes ANY partition count, layout, epoch sequence and worker count
-//     bit-identical to Partitions=1.
+//   - morsel.go: execution. Each partition is one ownership-filtered
+//     morsel of every effect and handler pass, fanned out across the worker
+//     pool for vectorized phases (per-worker vexpr scratch; self-only
+//     emissions are row-disjoint across partitions), scalar rows and
+//     handlers; the per-morsel sinks merge in source-row order — exactly
+//     the serial row loop's order — which is what makes ANY partition
+//     count, layout, epoch sequence and worker count bit-identical to
+//     Partitions=1.
 
 import (
 	"fmt"
@@ -57,9 +58,7 @@ type partWorld struct {
 	ready     bool   // layouts measured and first assignment done
 	assignVer uint64 // bumps whenever any row's ownership changes
 
-	sinks    []*partSink
-	mergeIdx []int
-	loads    []int64 // per-partition fold scratch (foldPartitionLoads)
+	loads []int64 // per-partition fold scratch (foldPartitionLoads)
 
 	buildList []partBuild // per-tick (site, partition) rebuild worklist
 
@@ -146,11 +145,6 @@ func (w *World) initPartitions() error {
 	}
 	pw := &partWorld{n: w.opts.Partitions}
 	pw.loads = make([]int64, pw.n)
-	pw.mergeIdx = make([]int, pw.n)
-	pw.sinks = make([]*partSink, pw.n)
-	for i := range pw.sinks {
-		pw.sinks[i] = &partSink{}
-	}
 	w.parts = pw
 	return nil
 }

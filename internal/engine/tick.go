@@ -32,19 +32,10 @@ func (w *World) RunTick() error {
 	}
 	w.prepareSites()
 
-	// (2) Query/effect phase. Partitioned worlds run partition-at-a-time
-	// (partitions fan out across the pool; see partition.go); otherwise the
-	// parallel path composes both execution axes (sharded batch kernels +
-	// sharded scalar rows), with small extents still running inline — the
-	// cost model, not the option alone, decides the actual fan-out.
-	switch {
-	case w.parts != nil:
-		w.runEffectPhasePartitioned()
-	case w.parallelOK():
-		w.runEffectPhaseParallel()
-	default:
-		w.runEffectPhaseSerial()
-	}
+	// (2) Query/effect phase, through the morsel driver (morsel.go): one
+	// morsel per partition in partitioned worlds, else as many row shards
+	// as the cost model finds worth fanning out — small extents run inline.
+	w.runEffectPhase()
 
 	// (3) Transaction admission.
 	if len(w.txns) > 0 {
@@ -100,60 +91,6 @@ func (w *World) Run(n int) error {
 	return nil
 }
 
-func (w *World) runEffectPhaseSerial() {
-	sink := directSink{w: w}
-	for _, rt := range w.order {
-		if rt.plan.Decl.Run == nil {
-			continue
-		}
-		// Vectorized phases run first, whole-extent. They emit only to
-		// the executing object, so each accumulator still receives its
-		// contributions in scalar row-loop order. Tracing forces scalar
-		// so the per-emission hook keeps firing (chooseEffectExec gates
-		// on the tracer). The exec-axis decision is shared with the
-		// sharded path, so Workers=1 and Workers=N vectorize identically.
-		var vecRun []bool
-		if rt.vec != nil && rt.vec.hasPhases && w.tracer == nil && w.opts.Exec != plan.ExecScalar {
-			vecRun, _ = w.chooseEffectExec(rt, rt.phaseCounts())
-			if vecRun != nil {
-				w.prepareVecPhases(rt, vecRun, rt.tab.Cap())
-				vecRows := int64(0)
-				for p, on := range vecRun {
-					if on {
-						vecRows += int64(w.vecPhaseRange(rt, p, rt.vec.phases[p], 0, rt.tab.Cap(), &rt.vec.sc, w.arenaMachine(), nil))
-					}
-				}
-				if !w.opts.DisableStats {
-					w.execStats.VectorRows += vecRows
-				}
-			}
-		}
-		x := w.serialExecCtx(sink, rt.plan.NumSlots)
-		tab := rt.tab
-		scalarRows := int64(0)
-		for r := 0; r < tab.Cap(); r++ {
-			if !tab.Alive(r) {
-				continue
-			}
-			pc := int(tab.At(r, rt.pcCol).AsNumber())
-			if vecRun != nil && vecRun[pc] {
-				continue
-			}
-			steps := rt.plan.Phases[pc]
-			if len(steps) == 0 {
-				continue
-			}
-			x.bindRow(rt, r)
-			x.runSteps(steps)
-			scalarRows++
-		}
-		x.flushJoinStats()
-		if !w.opts.DisableStats {
-			w.execStats.ScalarRows += scalarRows
-		}
-	}
-}
-
 // admitTxns delegates to the registered transaction policy, or the built-in
 // greedy arrival-order policy.
 func (w *World) admitTxns() error {
@@ -174,7 +111,6 @@ func (w *World) runUpdateStep() error {
 	// columns when the cost model (or Options.Exec) picks the vectorized
 	// path; the rest interpret closures row-at-a-time. Both stage their
 	// results, applied together in (c).
-	ruleCtx := w.updateCtx("")
 	// Discard any dense staging left over from a tick that errored out
 	// before the apply step; stale vectors must never apply later.
 	for _, rt := range w.order {
@@ -195,7 +131,7 @@ func (w *World) runUpdateStep() error {
 		if len(rules) == 0 {
 			continue
 		}
-		w.runScalarUpdates(ruleCtx, rt, rules)
+		w.runScalarUpdates(rt, rules)
 	}
 	// (b) Owner components.
 	for _, c := range w.comps {
@@ -222,7 +158,8 @@ func (w *World) runUpdateStep() error {
 				}
 				rt.tab.SetAt(row, attrIdx, v)
 			}
-			delete(rt.staged, attrIdx)
+			// Clearing keeps the map's storage for the next tick's staging.
+			clear(m)
 		}
 		rt.applyVecUpdates()
 	}

@@ -88,12 +88,12 @@ type vecPhase struct {
 
 // vecScratch is one independent set of kernel I/O state: the environment
 // binding, the id vector for self() kernels, frame-slot vectors, emit/if
-// output buffers and the selection-mask stack. The serial and sharded
-// executors share the class's embedded scratch (shards write range-disjoint
-// [lo, hi) slices, so pre-sizing makes that safe); the partitioned executor
-// hands each worker its own (World.shardCtxs), because partition row spans
-// may interleave arbitrarily — hash layouts, drifted ownership — and so
-// cannot share mask storage.
+// output buffers and the selection-mask stack. Range morsels share the
+// class's embedded scratch (they write range-disjoint [lo, hi) slices, so
+// pre-sizing makes that safe); pooled partition morsels use their worker
+// slot's own (workerSlot.vec), because partition row spans may interleave
+// arbitrarily — hash layouts, drifted ownership — and so cannot share mask
+// storage.
 type vecScratch struct {
 	env      vexpr.Env
 	ids      []float64
@@ -119,8 +119,8 @@ type vecClassProgs struct {
 
 // vecClassPlan is the per-world half: the shared kernels (embedded by
 // pointer) plus this world's scratch, sized to its table capacity on
-// demand. Serial kernel runs use the world's arena machine; sharded runs
-// use the per-worker machines in World.shardCtxs.
+// demand. Inline kernel runs use the world's arena machine; pooled runs use
+// their worker slot's machine.
 type vecClassPlan struct {
 	*vecClassProgs
 
@@ -425,7 +425,7 @@ func (s *vecScratch) bindEnv(w *World, rt *classRT) {
 }
 
 // prepareVecPhases readies the class's shared scratch for every selected
-// phase. Sharded execution depends on this: once pre-sized, kernel runs
+// phase. Pooled range morsels depend on this: once pre-sized, kernel runs
 // only ever write range-disjoint slices of the shared vectors, so lazy
 // growth (which would race) never happens inside a worker.
 func (w *World) prepareVecPhases(rt *classRT, vecSel []bool, n int) {
@@ -434,8 +434,8 @@ func (w *World) prepareVecPhases(rt *classRT, vecSel []bool, n int) {
 
 // prepareVecScratch readies one scratch for every selected phase —
 // environment binding, id vector, slot/buf/mask sizing — before any kernel
-// runs through it. The partitioned executor calls it once per worker and
-// class pass, giving each worker a fully independent set of vectors.
+// runs through it. Pooled partition morsels call it once per worker slot
+// and class pass, giving each worker a fully independent set of vectors.
 func (w *World) prepareVecScratch(rt *classRT, sc *vecScratch, vecSel []bool, n int) {
 	v := rt.vec
 	sc.bindEnv(w, rt)
@@ -468,10 +468,10 @@ func (w *World) prepareVecScratch(rt *classRT, sc *vecScratch, vecSel []bool, n 
 }
 
 // touchedLog records rows whose accumulator went from empty to non-empty
-// during a sharded vectorized phase. Shards write the shared accumulator
-// cells directly (rows are disjoint) but must not append to the shared
-// touched lists concurrently; the logs merge in shard order after the
-// barrier, keeping the list contents deterministic.
+// during a staged morsel's vectorized phases. Morsels write the shared
+// accumulator cells directly (rows are disjoint) but must not append to the
+// shared touched lists concurrently; the logs merge in morsel order after
+// the barrier, keeping the list contents deterministic.
 type touchedLog struct {
 	rows [][]int // indexed by effect attr
 }
@@ -488,36 +488,35 @@ func (t *touchedLog) reset() {
 	}
 }
 
-// vecPhaseRange executes one vectorized effect phase over physical rows
-// [lo, hi): the base selection mask is alive ∧ pc=phase, refined by nested
-// if conditions; kernels evaluate unmasked (expressions are total, dead
-// lanes are ignored) and only masked rows emit. sc must have been pre-sized
-// by prepareVecPhases/prepareVecScratch. tl is nil on the serial path
-// (emissions append to the shared touched lists directly); sharded and
-// partitioned runs pass their private log. Returns the number of selected
-// rows.
-func (w *World) vecPhaseRange(rt *classRT, phase int, vp *vecPhase, lo, hi int, sc *vecScratch, m *vexpr.Machine, tl *touchedLog) int {
+// vecPhaseRange executes one vectorized effect phase over a morsel's
+// physical rows [lo, hi): the base selection mask is alive ∧ owned by the
+// morsel's partition (if any) ∧ pc=phase, refined by nested if conditions;
+// kernels evaluate unmasked (expressions are total, dead lanes are ignored)
+// and only masked rows emit. sc must have been pre-sized by
+// prepareVecPhases/prepareVecScratch. tl is nil for a direct morsel
+// (emissions append to the shared touched lists directly); staged morsels
+// pass their sink's log. Returns the number of selected rows.
+func (w *World) vecPhaseRange(rt *classRT, phase int, vp *vecPhase, mo morsel, sc *vecScratch, m *vexpr.Machine, tl *touchedLog) int {
 	mask := sc.masks[0]
 	alive := rt.tab.AliveMask()
-	selected := 0
+	var pcCol []float64
 	if rt.plan.NumPhases > 1 {
-		pcCol := rt.tab.NumColumn(rt.pcCol)
-		for r := lo; r < hi; r++ {
-			mask[r] = alive[r] && int(pcCol[r]) == phase
-			if mask[r] {
-				selected++
-			}
-		}
-	} else {
-		for r := lo; r < hi; r++ {
-			mask[r] = alive[r]
-			if mask[r] {
-				selected++
-			}
+		pcCol = rt.tab.NumColumn(rt.pcCol)
+	}
+	var assign []int32
+	if mo.part >= 0 {
+		assign = rt.prt.assign
+	}
+	selected := 0
+	for r := mo.lo; r < mo.hi; r++ {
+		on := alive[r] && (assign == nil || assign[r] == mo.part) && (pcCol == nil || int(pcCol[r]) == phase)
+		mask[r] = on
+		if on {
+			selected++
 		}
 	}
 	if selected > 0 {
-		w.execVecSteps(rt, vp.steps, mask, lo, hi, sc, m, tl)
+		w.execVecSteps(rt, vp.steps, mask, mo.lo, mo.hi, sc, m, tl)
 	}
 	return selected
 }
@@ -605,10 +604,10 @@ func (w *World) execVecSteps(rt *classRT, steps []vecStep, mask []bool, lo, hi i
 // runVecUpdates evaluates the class's vectorized update rules, leaving the
 // new-state payloads staged in outVecs. They apply with all other staged
 // writes at the end of the update step, so components still observe old
-// state. When the parallelism axis picks more than one worker, the rules
-// stream batch-aligned shards concurrently — each result vector is written
-// in disjoint [lo, hi) ranges, so the only per-worker state is the kernel
-// machine.
+// state. The rules stream range morsels — concurrently when the
+// parallelism axis picks more than one worker; each result vector is
+// written in disjoint [lo, hi) ranges, so the only per-worker state is the
+// kernel machine.
 func (w *World) runVecUpdates(rt *classRT) {
 	v := rt.vec
 	n := rt.tab.Cap()
@@ -628,43 +627,14 @@ func (w *World) runVecUpdates(rt *classRT) {
 	for i := range v.updates {
 		v.outVecs[i] = growFloats(v.outVecs[i], n)
 	}
-	shards := w.updateShards(rt)
-	if len(shards) <= 1 {
-		m := w.arenaMachine()
-		for i, u := range v.updates {
-			u.prog.Run(m, &v.sc.env, 0, n, v.outVecs[i])
-		}
-	} else {
-		w.runShards(shards, func(si int, sh shard) {
-			m := &w.shardCtxs[si].machine
-			for i, u := range v.updates {
-				u.prog.Run(m, &v.sc.env, sh.lo, sh.hi, v.outVecs[i])
-			}
-		})
-		if !w.opts.DisableStats {
-			w.execStats.ParallelShards += int64(len(shards))
-		}
-	}
+	c := w.execCosts
+	work := c.VecSetup + c.VecVisit*float64(n*v.updateKernels)
+	w.pass = morselPass{kind: passVecRules, rt: rt, ms: w.shardMorsels(n, work)}
+	w.runPass()
 	v.staged = true
 	if !w.opts.DisableStats {
 		w.execStats.VectorRows += int64(rt.tab.Len() * len(v.updates))
 	}
-}
-
-// updateShards applies the parallelism axis to a class's vectorized update
-// rules.
-func (w *World) updateShards(rt *classRT) []shard {
-	nw := 1
-	if w.parallelOK() {
-		c := w.execCosts
-		work := c.VecSetup + c.VecVisit*float64(rt.tab.Cap()*rt.vec.updateKernels)
-		nw = c.ChooseWorkers(w.opts.Workers, work)
-	}
-	if nw > 1 {
-		w.ensureWorkers()
-	}
-	w.shardBuf = shardRows(rt.tab.Cap(), nw, w.shardBuf)
-	return w.shardBuf
 }
 
 // fillFxVec materializes the dense combined-effect vector for one effect

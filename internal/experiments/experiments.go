@@ -663,13 +663,16 @@ func E14(vehicles int, workers []int, ticks int) (Table, error) {
 			if _, err := core.PopulateVehicles(w, ps); err != nil {
 				return t, err
 			}
-			d, err := tickTime(w.RunTick, ticks)
+			// The shard column is a counter delta over exactly the timed
+			// ticks: the warm-up tick stays out of it.
+			var base int64
+			d, err := timedTicks(w.RunTick, ticks, func() { base = w.ExecStats().ParallelShards })
 			if err != nil {
 				return t, err
 			}
 			times[mode] = d
 			if mode == plan.ExecAuto {
-				shards = w.ExecStats().ParallelShards / int64(ticks)
+				shards = (w.ExecStats().ParallelShards - base) / int64(ticks)
 			}
 		}
 		if wk == workers[0] {

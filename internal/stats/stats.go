@@ -153,8 +153,9 @@ type ExecCounters struct {
 	VectorRows int64
 	// ScalarRows counts row evaluations executed by closure interpretation.
 	ScalarRows int64
-	// ParallelShards counts row shards dispatched to the worker pool (a
-	// class extent that stays serial contributes nothing); it exposes the
+	// ParallelShards counts morsels dispatched to the worker pool: row
+	// shards and partitions alike, one per morsel of every pass that fans
+	// out (a pass that runs inline contributes nothing). It exposes the
 	// parallelism axis of the two-axis execution decision the same way
 	// VectorRows/ScalarRows expose the exec-mode axis.
 	ParallelShards int64
