@@ -5,7 +5,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/physics"
 	"repro/internal/plan"
+	"repro/internal/value"
 	"repro/internal/workload"
 )
 
@@ -48,6 +50,68 @@ func TestSteadyStateTickAllocsZero(t *testing.T) {
 		})
 		if avg != 0 {
 			t.Fatalf("Exec %v: steady-state RunTick allocates %.1f objects/tick, want 0", exec, avg)
+		}
+	}
+}
+
+// srcBalls steers every ball toward its goal through physics-owned
+// positions; no joins, so the update step is the only per-row work besides
+// the effect phase.
+const srcBalls = `
+class Ball {
+  state:
+    number x = 0 by physics;
+    number y = 0 by physics;
+    number gx = 0;
+    number gy = 0;
+  effects:
+    number vx : avg;
+    number vy : avg;
+  run {
+    vx <- (gx - x) * 0.1;
+    vy <- (gy - y) * 0.1;
+  }
+}
+`
+
+// TestPhysicsTickAllocsZero extends the steady-state guard to the update
+// step's component path: a warmed world of 500 balls converging on one
+// spot, with physics.New2D registered, allocates nothing per tick — without
+// and with collision separation.
+func TestPhysicsTickAllocsZero(t *testing.T) {
+	for _, radius := range []float64{0, 1} {
+		w := mustVecWorld(t, srcBalls, engine.Options{Workers: 1})
+		w.SetArenaPool(&engine.ArenaPool{})
+		ph := physics.New2D(physics.Config{
+			Class: "Ball", XAttr: "x", YAttr: "y", VXEffect: "vx", VYEffect: "vy",
+			MaxSpeed: 4, Radius: radius,
+		})
+		if err := w.Register(ph); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 500; i++ {
+			if _, err := w.Spawn("Ball", map[string]value.Value{
+				"x": value.Num(float64(i%25) * 3), "y": value.Num(float64(i/25) * 3),
+				"gx": value.Num(36), "gy": value.Num(30),
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 5; i++ {
+			if err := w.RunTick(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		avg := testing.AllocsPerRun(20, func() {
+			if err := w.RunTick(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg != 0 {
+			t.Fatalf("Radius %v: steady-state physics tick allocates %.1f objects/tick, want 0", radius, avg)
+		}
+		if radius > 0 && ph.Collisions == 0 {
+			t.Fatal("no separations: the guard does not exercise collision resolution")
 		}
 	}
 }

@@ -2,14 +2,14 @@ package engine
 
 // The per-tick change feed behind incremental subscription views
 // (internal/views): every state write that survives the update step —
-// map-staged scalar rule/component results, dense kernel write-back, spawns,
+// row-staged scalar rule/component results, dense kernel write-back, spawns,
 // kills, out-of-tick SetState — marks the physical row it changed, and the
 // accumulated marks drain as one deterministic, sorted changefeed per class.
 //
 // Two properties make the feed usable as a view-maintenance substrate:
 //
 //   - It is driven by the writes themselves, at the two apply sites every
-//     execution mode funnels through (runUpdateStep's staged-map apply and
+//     execution mode funnels through (runUpdateStep's row-staged apply and
 //     applyVecUpdates' column write-back), so the same marks fall out of any
 //     Workers/Partitions/Exec configuration and of DisableStats — statistics
 //     collection never feeds execution (the PR 3 grid-sizing rule).

@@ -9,6 +9,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/analysis"
@@ -277,8 +278,9 @@ type classRT struct {
 	txnViewCols [][]float64
 	txnViewGen  []uint64
 	txnFxGen    []uint64
-	// staged new-state values for the update step.
-	staged map[int]map[value.ID]value.Value // attrIdx -> id -> value
+	// stage holds the update step's staged new-state values, one
+	// row-indexed store per state attr (component.go).
+	stage []rowStage
 
 	// vlog accumulates the class's state changes for the subscription-view
 	// changefeed (nil until EnableChangeFeed; see changefeed.go).
@@ -384,6 +386,7 @@ func NewFromCompiled(c *Compiled, opts Options) (*World, error) {
 			hasRule:     cc.hasRule,
 			phaseCost:   cc.phaseCost,
 			handlerCost: cc.handlerCost,
+			stage:       make([]rowStage, len(cc.cls.State)),
 		}
 		rt.effectZero = effectZeroFn(rt)
 		for _, e := range cc.cls.Effects {
@@ -476,6 +479,44 @@ func (w *World) RegisterInterrupt(class string, cond func(w *World, id value.ID)
 	}
 	w.interrupts = append(w.interrupts, interrupt{class: class, cond: cond, phase: phase})
 	return nil
+}
+
+// Registrations are the parts of a world that live outside its state and
+// so outside a Checkpoint: update components, inspectors, interrupts, the
+// transaction policy and the tracer.
+type Registrations struct {
+	comps      []UpdateComponent
+	inspectors []Inspector
+	interrupts []interrupt
+	txnPolicy  TxnPolicy
+	tracer     TraceFn
+}
+
+// Registrations returns the world's current registrations.
+func (w *World) Registrations() Registrations {
+	return Registrations{
+		comps:      slices.Clone(w.comps),
+		inspectors: slices.Clone(w.inspectors),
+		interrupts: slices.Clone(w.interrupts),
+		txnPolicy:  w.txnPolicy,
+		tracer:     w.tracer,
+	}
+}
+
+// Adopt replaces the world's registrations with r, taken from a world of
+// the same program — the same component, inspector and policy instances,
+// not copies. A world rebuilt from a checkpoint adopts the registrations
+// of the world that took it.
+func (w *World) Adopt(r Registrations) {
+	w.comps = slices.Clone(r.comps)
+	clear(w.compByName)
+	for _, c := range w.comps {
+		w.compByName[c.Name()] = c
+	}
+	w.inspectors = slices.Clone(r.inspectors)
+	w.interrupts = slices.Clone(r.interrupts)
+	w.txnPolicy = r.txnPolicy
+	w.tracer = r.tracer
 }
 
 // SetTracer installs an effect-emission trace hook (§3.3). Pass nil to

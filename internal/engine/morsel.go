@@ -393,7 +393,7 @@ func (w *World) runHandlerMorsel(rt *classRT, mo morsel, ws *workerSlot, s *mors
 
 // runScalarUpdates evaluates a class's closure-path update rules over
 // range morsels, staging each result for the atomic apply. Every row stages
-// at most once per attribute, so the staged map is the same however the
+// at most once per attribute, so the staging store is the same however the
 // rows split.
 func (w *World) runScalarUpdates(rt *classRT, rules []compile.UpdatePlan) {
 	work := w.execCosts.ScalarVisit * float64(rt.tab.Len()*len(rules))
@@ -421,9 +421,9 @@ func (w *World) runRuleMorsel(rt *classRT, rules []compile.UpdatePlan, mo morsel
 		for _, u := range rules {
 			v := u.Fn(&x.ctx)
 			if s.direct {
-				rt.stageRule(u.AttrIdx, x.id, v)
+				rt.stageRow(u.AttrIdx, x.row, v)
 			} else {
-				s.staged = append(s.staged, stagedWrite{attrIdx: u.AttrIdx, id: x.id, val: v})
+				s.staged = append(s.staged, stagedWrite{attrIdx: u.AttrIdx, row: int32(x.row), val: v})
 			}
 		}
 	}
@@ -442,7 +442,7 @@ type stagedEmit struct {
 // stagedWrite is one scalar update-rule result staged by a morsel.
 type stagedWrite struct {
 	attrIdx int
-	id      value.ID
+	row     int32
 	val     value.Value
 }
 
@@ -524,7 +524,7 @@ func (w *World) foldMorsels(sinks []*morselSink, pooled bool) {
 			}
 		}
 		for _, sw := range s.staged {
-			rt.stageRule(sw.attrIdx, sw.id, sw.val)
+			rt.stageRow(sw.attrIdx, int(sw.row), sw.val)
 		}
 		if track {
 			w.execStats.VectorRows += s.vecRows

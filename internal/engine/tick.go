@@ -27,6 +27,12 @@ func (w *World) RunTick() error {
 	w.acquireArena()
 	defer w.releaseArena()
 	w.inTick = true
+	// Discard staging left over from a tick that errored out before the
+	// apply step. Admission policies may stage through their UpdateCtx, so
+	// this runs before admission, not just before the update step.
+	for _, rt := range w.order {
+		rt.dropStaged()
+	}
 	for _, ins := range w.inspectors {
 		ins.TickStart(w, w.tick)
 	}
@@ -111,13 +117,6 @@ func (w *World) runUpdateStep() error {
 	// columns when the cost model (or Options.Exec) picks the vectorized
 	// path; the rest interpret closures row-at-a-time. Both stage their
 	// results, applied together in (c).
-	// Discard any dense staging left over from a tick that errored out
-	// before the apply step; stale vectors must never apply later.
-	for _, rt := range w.order {
-		if rt.vec != nil {
-			rt.vec.staged = false
-		}
-	}
 	for _, rt := range w.order {
 		if len(rt.plan.Updates) == 0 {
 			continue
@@ -140,27 +139,12 @@ func (w *World) runUpdateStep() error {
 			return fmt.Errorf("component %q: %w", c.Name(), err)
 		}
 	}
-	// (c) Apply all staged writes atomically: map-staged values from
+	// (c) Apply all staged writes atomically: row-staged values from
 	// scalar rules and components, then the dense columns staged by the
-	// vectorized rules (disjoint attributes by strict ownership).
+	// vectorized rules (disjoint attributes by strict ownership). Kills
+	// are deferred to the tick boundary, so every staged row is live.
 	for _, rt := range w.order {
-		for attrIdx, m := range rt.staged { //sglvet:allow maprange: keyed writes to disjoint (attr, id) cells, order-free
-			for id, v := range m { //sglvet:allow maprange: keyed writes to disjoint (attr, id) cells, order-free
-				row := rt.tab.Row(id)
-				if row < 0 {
-					continue // object died this tick
-				}
-				// Changefeed marks diff on raw bits so rows rewritten to the
-				// same payload stay out of the feed; marks are a set, so the
-				// map-iteration order here cannot leak into the drained feed.
-				if rt.vlog != nil && changedValue(rt.tab.At(row, attrIdx), v) {
-					rt.vlog.mark(row)
-				}
-				rt.tab.SetAt(row, attrIdx, v)
-			}
-			// Clearing keeps the map's storage for the next tick's staging.
-			clear(m)
-		}
+		rt.applyStaged()
 		rt.applyVecUpdates()
 	}
 	return nil

@@ -673,7 +673,7 @@ func (rt *classRT) fillFxVec(ai, n int) []float64 {
 
 // applyVecUpdates writes the staged dense columns back for live rows. Rule
 // and component attributes are disjoint (strict ownership), so ordering
-// against the map-staged writes is immaterial.
+// against the row-staged writes is immaterial.
 func (rt *classRT) applyVecUpdates() {
 	v := rt.vec
 	if v == nil || !v.staged {

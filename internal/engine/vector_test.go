@@ -361,22 +361,30 @@ class Cell {
 	}
 }
 
-// flakyComp owns one attribute and fails its first Update call.
+// flakyComp owns Bot.z. Each of its first `fails` Update calls stages
+// z = 99 on every row and then fails; later calls stage nothing.
 type flakyComp struct{ fails int }
 
 func (f *flakyComp) Name() string { return "flaky" }
 func (f *flakyComp) Update(ctx *engine.UpdateCtx) error {
-	if f.fails > 0 {
-		f.fails--
-		return fmt.Errorf("induced failure")
+	if f.fails == 0 {
+		return nil
 	}
-	return nil
+	f.fails--
+	for _, id := range ctx.IDs("Bot") {
+		if err := ctx.Stage("Bot", id, "z", value.Num(99)); err != nil {
+			return err
+		}
+	}
+	return fmt.Errorf("induced failure")
 }
 
 // TestVecStagingDiscardedOnError pins a staleness hazard: if a component
 // error aborts the update step after the vectorized rules staged their
 // dense results, those results must be discarded — a later tick that picks
-// the scalar path must not apply tick-old vectors over fresh values.
+// the scalar path must not apply tick-old vectors over fresh values. The
+// failing component's own row-staged writes must be discarded too: z ends
+// as in a world whose component never failed.
 func TestVecStagingDiscardedOnError(t *testing.T) {
 	const src = `
 class Bot {
@@ -392,9 +400,9 @@ class Bot {
   }
 }
 `
-	run := func(mode plan.ExecMode) *engine.World {
+	run := func(mode plan.ExecMode, fails int) *engine.World {
 		w := mustVecWorld(t, src, engine.Options{Exec: mode})
-		if err := w.Register(&flakyComp{fails: 1}); err != nil {
+		if err := w.Register(&flakyComp{fails: fails}); err != nil {
 			t.Fatal(err)
 		}
 		var ids []value.ID
@@ -405,8 +413,8 @@ class Bot {
 			}
 			ids = append(ids, id)
 		}
-		if err := w.RunTick(); err == nil {
-			t.Fatal("first tick must fail")
+		if err := w.RunTick(); (err != nil) != (fails > 0) {
+			t.Fatalf("first tick: err = %v with %d induced failures", err, fails)
 		}
 		// Shrink the extent so ExecAuto flips to scalar (stale staged
 		// vectors would now overwrite the scalar results).
@@ -420,13 +428,20 @@ class Bot {
 		}
 		return w
 	}
-	auto := run(plan.ExecAuto)
-	scalar := run(plan.ExecScalar)
+	auto := run(plan.ExecAuto, 1)
+	scalar := run(plan.ExecScalar, 1)
+	steady := run(plan.ExecAuto, 0)
 	for _, id := range auto.IDs("Bot") {
 		av := auto.MustGet("Bot", id, "x")
 		sv := scalar.MustGet("Bot", id, "x")
 		if !av.Equal(sv) {
 			t.Fatalf("bot %d x: auto %v, scalar %v (stale staged vector applied)", id, av, sv)
+		}
+		want := steady.MustGet("Bot", id, "z")
+		for _, w := range []*engine.World{auto, scalar} {
+			if got := w.MustGet("Bot", id, "z"); !got.Equal(want) {
+				t.Fatalf("bot %d z = %v, want %v (stale staged row applied)", id, got, want)
+			}
 		}
 	}
 }

@@ -157,19 +157,27 @@ func New(cfg Config) *Planner {
 // Name implements engine.UpdateComponent.
 func (p *Planner) Name() string { return "pathfind" }
 
-// Update implements engine.UpdateComponent.
+// Update implements engine.UpdateComponent. Objects are visited in
+// ascending physical row order; the plan cache stays keyed by object id.
 func (p *Planner) Update(ctx *engine.UpdateCtx) error {
 	cfg := p.cfg
-	for _, id := range ctx.IDs(cfg.Class) {
-		xv, ok := ctx.State(cfg.Class, id, cfg.XAttr)
-		if !ok {
-			return fmt.Errorf("pathfind: missing %s.%s", cfg.Class, cfg.XAttr)
+	var h [4]engine.AttrHandle
+	for i, attr := range [4]string{cfg.XAttr, cfg.YAttr, cfg.GoalXEff, cfg.GoalYEff} {
+		var err error
+		if h[i], err = ctx.Attr(cfg.Class, attr); err != nil {
+			return fmt.Errorf("pathfind: %w", err)
 		}
-		yv, _ := ctx.State(cfg.Class, id, cfg.YAttr)
-		cur := Point{int(xv.AsNumber()), int(yv.AsNumber())}
+	}
+	hx, hy, hgx, hgy := h[0], h[1], h[2], h[3]
+	for row, live := range ctx.Live(hx) {
+		if !live {
+			continue
+		}
+		id := ctx.IDAt(hx, row)
+		cur := Point{int(ctx.StateAt(hx, row).AsNumber()), int(ctx.StateAt(hy, row).AsNumber())}
 
-		gx, okx := ctx.Effect(cfg.Class, id, cfg.GoalXEff)
-		gy, oky := ctx.Effect(cfg.Class, id, cfg.GoalYEff)
+		gx, okx := ctx.EffectAt(hgx, row)
+		gy, oky := ctx.EffectAt(hgy, row)
 		if okx && oky {
 			goal := Point{int(gx.AsNumber()), int(gy.AsNumber())}
 			if p.goals[id] != goal || len(p.cache[id]) == 0 {
@@ -192,10 +200,10 @@ func (p *Planner) Update(ctx *engine.UpdateCtx) error {
 			// time a goal arrives.
 			delete(p.cache, id)
 		}
-		if err := ctx.Stage(cfg.Class, id, cfg.XAttr, value.Num(float64(next.X))); err != nil {
+		if err := ctx.StageAt(hx, row, value.Num(float64(next.X))); err != nil {
 			return err
 		}
-		if err := ctx.Stage(cfg.Class, id, cfg.YAttr, value.Num(float64(next.Y))); err != nil {
+		if err := ctx.StageAt(hy, row, value.Num(float64(next.Y))); err != nil {
 			return err
 		}
 	}

@@ -8,9 +8,10 @@
 package physics
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/value"
@@ -50,6 +51,11 @@ type Physics struct {
 	// Collisions counts separations performed on the last tick (observable
 	// for tests and the contention experiment E3).
 	Collisions int64
+
+	// bodies and idx are per-tick scratch, retained across ticks so a
+	// steady-state update allocates nothing.
+	bodies []body
+	idx    []int
 }
 
 // New2D builds the component. Register it on a world whose class declares
@@ -69,27 +75,34 @@ func (p *Physics) Name() string { return "physics" }
 
 type body struct {
 	id   value.ID
+	row  int
 	x, y float64
 }
 
 // Update implements engine.UpdateComponent: integrate intentions, resolve
-// collisions, clamp to bounds, stage owned attributes.
+// collisions, clamp to bounds, stage owned attributes. Bodies are visited
+// in ascending physical row order (the class's storage order).
 func (p *Physics) Update(ctx *engine.UpdateCtx) error {
 	cfg := p.cfg
-	ids := ctx.IDs(cfg.Class)
-	bodies := make([]body, 0, len(ids))
-	for _, id := range ids {
-		xv, ok := ctx.State(cfg.Class, id, cfg.XAttr)
-		if !ok {
-			return fmt.Errorf("physics: missing %s.%s", cfg.Class, cfg.XAttr)
+	var h [4]engine.AttrHandle
+	for i, attr := range [4]string{cfg.XAttr, cfg.YAttr, cfg.VXEffect, cfg.VYEffect} {
+		var err error
+		if h[i], err = ctx.Attr(cfg.Class, attr); err != nil {
+			return fmt.Errorf("physics: %w", err)
 		}
-		yv, _ := ctx.State(cfg.Class, id, cfg.YAttr)
-		x, y := xv.AsNumber(), yv.AsNumber()
+	}
+	hx, hy, hvx, hvy := h[0], h[1], h[2], h[3]
+	bodies := p.bodies[:0]
+	for row, live := range ctx.Live(hx) {
+		if !live {
+			continue
+		}
+		x, y := ctx.StateAt(hx, row).AsNumber(), ctx.StateAt(hy, row).AsNumber()
 		var vx, vy float64
-		if v, ok := ctx.Effect(cfg.Class, id, cfg.VXEffect); ok {
+		if v, ok := ctx.EffectAt(hvx, row); ok {
 			vx = v.AsNumber()
 		}
-		if v, ok := ctx.Effect(cfg.Class, id, cfg.VYEffect); ok {
+		if v, ok := ctx.EffectAt(hvy, row); ok {
 			vy = v.AsNumber()
 		}
 		if cfg.MaxSpeed > 0 {
@@ -98,8 +111,9 @@ func (p *Physics) Update(ctx *engine.UpdateCtx) error {
 				vx, vy = vx*s, vy*s
 			}
 		}
-		bodies = append(bodies, body{id: id, x: x + vx*cfg.Dt, y: y + vy*cfg.Dt})
+		bodies = append(bodies, body{id: ctx.IDAt(hx, row), row: row, x: x + vx*cfg.Dt, y: y + vy*cfg.Dt})
 	}
+	p.bodies = bodies
 
 	if cfg.Radius > 0 {
 		p.resolve(bodies)
@@ -111,10 +125,10 @@ func (p *Physics) Update(ctx *engine.UpdateCtx) error {
 		}
 	}
 	for _, b := range bodies {
-		if err := ctx.Stage(cfg.Class, b.id, cfg.XAttr, value.Num(b.x)); err != nil {
+		if err := ctx.StageAt(hx, b.row, value.Num(b.x)); err != nil {
 			return err
 		}
-		if err := ctx.Stage(cfg.Class, b.id, cfg.YAttr, value.Num(b.y)); err != nil {
+		if err := ctx.StageAt(hy, b.row, value.Num(b.y)); err != nil {
 			return err
 		}
 	}
@@ -126,12 +140,13 @@ func (p *Physics) Update(ctx *engine.UpdateCtx) error {
 // sorted order and pushed apart symmetrically.
 func (p *Physics) resolve(bodies []body) {
 	r2 := 2 * p.cfg.Radius
-	idx := make([]int, len(bodies))
+	idx := slices.Grow(p.idx[:0], len(bodies))[:len(bodies)]
+	p.idx = idx
 	for it := 0; it < p.cfg.Iterations; it++ {
 		for i := range idx {
 			idx[i] = i
 		}
-		sort.SliceStable(idx, func(a, b int) bool { return bodies[idx[a]].x < bodies[idx[b]].x })
+		slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(bodies[a].x, bodies[b].x) })
 		moved := false
 		for ii := 0; ii < len(idx); ii++ {
 			i := idx[ii]

@@ -94,6 +94,11 @@ type World struct {
 	hib  *engine.Checkpoint // non-nil while hibernated
 	idle int                // ticks since last client Touch/Engine access
 
+	// regs holds, while hibernated, what was registered through Engine()
+	// (components, inspectors, txn policy, ...); the woken engine adopts
+	// it, since the checkpoint holds only state.
+	regs engine.Registrations
+
 	// views is the world's subscription registry (lazily created), and
 	// sink the per-delta spectator callback invoked after every tick.
 	// Subscriptions survive hibernation: the registry detaches with the
@@ -287,6 +292,7 @@ func (h *World) hibernateLocked() error {
 		return fmt.Errorf("server: hibernate %s: %w", h.ID, err)
 	}
 	h.hib = c
+	h.regs = h.eng.Registrations()
 	if h.views != nil {
 		h.views.Detach()
 	}
@@ -312,8 +318,10 @@ func (h *World) wakeLocked() error {
 	if err := eng.Restore(h.hib); err != nil {
 		return fmt.Errorf("server: wake %s: %w", h.ID, err)
 	}
+	eng.Adopt(h.regs)
 	h.eng = eng
 	h.hib = nil
+	h.regs = engine.Registrations{}
 	if h.views != nil {
 		// The restored world's tables (and dictionary codes) are fresh
 		// objects: rebind, recompile kernels, resync every subscription.

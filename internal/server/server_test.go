@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/physics"
 	"repro/internal/server"
 	"repro/internal/value"
 	"repro/internal/views"
@@ -230,6 +231,85 @@ func TestHibernationLifecycle(t *testing.T) {
 	if c.Restores != int64(len(specs)) || c.WorldsActive != int64(len(specs)) {
 		t.Fatalf("after wakes: restores=%d active=%d, want %d/%d",
 			c.Restores, c.WorldsActive, len(specs), len(specs))
+	}
+}
+
+// tickCounter is an inspector counting completed ticks.
+type tickCounter struct{ ends int }
+
+func (c *tickCounter) TickStart(*engine.World, int64) {}
+func (c *tickCounter) TickEnd(*engine.World, int64)   { c.ends++ }
+
+// TestWakeKeepsComponents: a world whose physics component and inspector
+// were registered through Engine() is hibernated, woken and ticked on. The
+// woken engine must run the same component and inspector instances and
+// end bit-identical to a twin that never hibernated.
+func TestWakeKeepsComponents(t *testing.T) {
+	srv := server.New(server.Config{Workers: 1})
+	type arm struct {
+		h   *server.World
+		ph  *physics.Physics
+		ins *tickCounter
+	}
+	add := func(id string) arm {
+		h, err := srv.AddWorld(id, core.SrcRTS, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := h.Engine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := arm{h: h, ph: physics.New2D(physics.Config{Class: "Soldier", XAttr: "x", YAttr: "y",
+			VXEffect: "vx", VYEffect: "vy", MaxSpeed: 4, Radius: 1}), ins: &tickCounter{}}
+		if err := eng.Register(a.ph); err != nil {
+			t.Fatal(err)
+		}
+		eng.AddInspector(a.ins)
+		if _, err := core.PopulateSoldiers(eng, workload.Clustered(120, 2, 20, 300, 300, 5)); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	twin, slept := add("twin"), add("slept")
+	if err := srv.RunRounds(4); err != nil {
+		t.Fatal(err)
+	}
+	if err := slept.h.Hibernate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := slept.h.Touch(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.RunRounds(6); err != nil {
+		t.Fatal(err)
+	}
+	if slept.ins.ends != 10 || twin.ins.ends != 10 {
+		t.Fatalf("inspector saw %d ticks across the wake (twin %d), want 10", slept.ins.ends, twin.ins.ends)
+	}
+	if slept.ph.Collisions != twin.ph.Collisions {
+		t.Fatalf("physics collisions %d across the wake, twin %d", slept.ph.Collisions, twin.ph.Collisions)
+	}
+	got, err := slept.h.Engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := twin.h.Engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls, _ := want.Schema().Class("Soldier")
+	ids := want.IDs("Soldier")
+	if !slices.Equal(got.IDs("Soldier"), ids) {
+		t.Fatal("soldier populations differ after the wake")
+	}
+	for _, id := range ids {
+		for _, a := range cls.State {
+			gv, wv := got.MustGet("Soldier", id, a.Name), want.MustGet("Soldier", id, a.Name)
+			if !gv.Equal(wv) {
+				t.Fatalf("soldier %d %s: %v after the wake, twin %v", id, a.Name, gv, wv)
+			}
+		}
 	}
 }
 

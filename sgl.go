@@ -69,6 +69,9 @@ type (
 	UpdateComponent = engine.UpdateComponent
 	// UpdateCtx is the update-step view handed to components.
 	UpdateCtx = engine.UpdateCtx
+	// AttrHandle is a (class, attribute) pair resolved by UpdateCtx.Attr
+	// for row-addressed reads and staging (StateAt, EffectAt, StageAt).
+	AttrHandle = engine.AttrHandle
 	// TxnPolicy decides which atomic transactions commit (§3.1).
 	TxnPolicy = engine.TxnPolicy
 	// Txn is a collected transaction intent.
